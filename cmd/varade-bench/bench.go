@@ -1,23 +1,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"varade"
 	"varade/internal/baselines/arlstm"
 	"varade/internal/core"
 	"varade/internal/detect"
+	"varade/internal/fleetlane"
 	"varade/internal/obs"
-	"varade/internal/route"
-	"varade/internal/serve"
-	"varade/internal/stream"
 	"varade/internal/tensor"
 )
 
@@ -160,279 +156,6 @@ func measureSuite(cases []benchCase) []BenchResult {
 	return results
 }
 
-// fleetMixedBench is the serving-layer suite entry: one float64 registry
-// entry, 64 persistent sessions negotiating float64/float32/int8
-// round-robin (protocol v2), windows coalesced per precision-specific
-// group. Each op replays every device's stream through its live session.
-// With burst > 0 admission turns bursty: every session sends burst rows,
-// idles gap, repeats — the closed-loop scheduler's deadline lane.
-type fleetMixedBench struct {
-	sessions, steps int
-	w               int
-	burst           int
-	gap             time.Duration
-	regDir          string
-	srvs            []*serve.Server
-	srv             *serve.Server // srvs[0], for Metrics()
-	rt              *route.Router
-	clients         []*serve.Client
-	rows            [][][]float64
-	primed          bool
-}
-
-func newFleetMixedBench(seed uint64) (*fleetMixedBench, error) {
-	return newFleetBench(seed, 0, 0, 0, 1)
-}
-
-// newFleetBurstyBench is the FleetServeBursty64 lane: 12-row admission
-// bursts separated by 1ms idle gaps under a 5ms p99 SLO, with a hopeless
-// 50ms fallback flush interval — every latency bound the fleet sees must
-// come from the SLO deadline scheduler, not the ticker it replaced.
-func newFleetBurstyBench(seed uint64) (*fleetMixedBench, error) {
-	return newFleetBench(seed, 12, time.Millisecond, 5*time.Millisecond, 1)
-}
-
-// newFleetRoutedBench is the FleetServeRouted64 lane: the same mixed
-// fleet, but through a varade-router fronting two backend servers over
-// one registry — each precision's sessions consistent-hash to one
-// backend, so the lane prices the relay hop plus the two-way split.
-func newFleetRoutedBench(seed uint64) (*fleetMixedBench, error) {
-	return newFleetBench(seed, 0, 0, 0, 2)
-}
-
-// newFleetFailoverBench is the FleetServeFailover64 lane's fleet: the
-// routed shape again — the kill and the hand-off happen in runFailover,
-// not here.
-func newFleetFailoverBench(seed uint64) (*fleetMixedBench, error) {
-	return newFleetBench(seed, 0, 0, 0, 2)
-}
-
-func newFleetBench(seed uint64, burst int, gap, slo time.Duration, backends int) (*fleetMixedBench, error) {
-	const (
-		sessions = 64
-		steps    = 72
-		channels = 17
-	)
-	model, err := core.New(core.EdgeConfig(channels))
-	if err != nil {
-		return nil, err
-	}
-	f := &fleetMixedBench{sessions: sessions, steps: steps, w: model.WindowSize(), burst: burst, gap: gap}
-	// Any failure below must not strand the temp registry, the server or
-	// already-dialed sessions.
-	ok := false
-	defer func() {
-		if !ok {
-			f.close()
-		}
-	}()
-	f.regDir, err = os.MkdirTemp("", "varade-bench-registry-")
-	if err != nil {
-		return nil, err
-	}
-	reg, err := serve.OpenRegistry(f.regDir)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := reg.Register("varade", model); err != nil {
-		return nil, err
-	}
-	flush := time.Millisecond
-	if slo > 0 {
-		flush = 50 * time.Millisecond // the deadline must carry the latency, not the fallback
-	}
-	if backends < 1 {
-		backends = 1
-	}
-	addrs := make([]string, backends)
-	for i := 0; i < backends; i++ {
-		srv, err := serve.NewServer(serve.Config{
-			Registry:      reg,
-			DefaultModel:  "varade",
-			FlushInterval: flush,
-			SLOP99:        slo,
-			QueueDepth:    steps + 8, // score every window
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.srvs = append(f.srvs, srv)
-		if addrs[i], err = srv.Serve("127.0.0.1:0"); err != nil {
-			return nil, err
-		}
-	}
-	f.srv = f.srvs[0]
-	addr := addrs[0]
-	if backends > 1 {
-		f.rt = route.NewRouter(route.Config{DefaultModel: "varade", TTL: time.Hour})
-		if addr, err = f.rt.Serve("127.0.0.1:0"); err != nil {
-			return nil, err
-		}
-		for i, baddr := range addrs {
-			f.rt.Register(route.Announcement{ID: fmt.Sprintf("b%d", i+1), Addr: baddr})
-		}
-	}
-	precisions := []string{varade.PrecisionFloat64, varade.PrecisionFloat32, varade.PrecisionInt8}
-	f.clients = make([]*serve.Client, sessions)
-	for id := range f.clients {
-		cl, err := serve.DialWith(context.Background(), addr, "", channels,
-			stream.SessionCaps{Precision: precisions[id%len(precisions)]})
-		if err != nil {
-			return nil, err
-		}
-		f.clients[id] = cl
-	}
-	f.rows = make([][][]float64, sessions)
-	for id := range f.rows {
-		rng := tensor.NewRNG(seed + uint64(1000+id))
-		f.rows[id] = make([][]float64, steps)
-		for r := range f.rows[id] {
-			row := make([]float64, channels)
-			for c := range row {
-				row[c] = rng.NormFloat64()
-			}
-			f.rows[id][r] = row
-		}
-	}
-	ok = true
-	return f, nil
-}
-
-// run replays every device stream iters times through the live sessions.
-func (f *fleetMixedBench) run(iters int) {
-	for it := 0; it < iters; it++ {
-		expect := f.steps
-		if !f.primed {
-			expect = f.steps - f.w + 1 // first pass pays the ring warmup
-			f.primed = true
-		}
-		var wg sync.WaitGroup
-		for id := range f.clients {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				cl := f.clients[id]
-				step := f.burst
-				if step <= 0 {
-					step = f.steps
-				}
-				for off := 0; off < f.steps; off += step {
-					end := off + step
-					if end > f.steps {
-						end = f.steps
-					}
-					if err := cl.Send(f.rows[id][off:end]); err != nil {
-						panic(err)
-					}
-					if f.gap > 0 && end < f.steps {
-						time.Sleep(f.gap)
-					}
-				}
-				for got := 0; got < expect; {
-					scores, err := cl.ReadScores()
-					if err != nil {
-						panic(err)
-					}
-					got += len(scores)
-				}
-			}(id)
-		}
-		wg.Wait()
-	}
-}
-
-// runFailover is the FleetServeFailover64 op: every session streams the
-// first half of its rows in 4-row batches, a barrier force-kills the
-// backend serving session 0 (expired-context Shutdown: no drain, live
-// connections torn), then the fleet finishes, says Bye and reads scores
-// to end-of-stream. The orphaned sessions ride the router's hand-off to
-// the survivor; sessions on the survivor are the control group. Scores
-// are counted as received — windows in flight past the replay ring may
-// legitimately be lost to the crash, so the lane prices survival
-// throughput, not completeness. One-shot: a backend only dies once per
-// fleet.
-func (f *fleetMixedBench) runFailover() (received int64, elapsed time.Duration) {
-	victim := f.srvs[0]
-	if f.clients[0].Welcome().Backend == "b2" {
-		victim = f.srvs[1]
-	}
-	dead, cancel := context.WithCancel(context.Background())
-	cancel() // already expired: Shutdown force-closes instead of draining
-
-	var sent, wg sync.WaitGroup
-	sent.Add(len(f.clients))
-	killed := make(chan struct{})
-	go func() {
-		sent.Wait()
-		victim.Shutdown(dead)
-		close(killed)
-	}()
-
-	got := make([]int64, len(f.clients))
-	start := time.Now()
-	for id := range f.clients {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cl := f.clients[id]
-			send := func(part [][]float64) {
-				for off := 0; off < len(part); off += 4 {
-					end := off + 4
-					if end > len(part) {
-						end = len(part)
-					}
-					if err := cl.Send(part[off:end]); err != nil {
-						panic(err)
-					}
-				}
-			}
-			mid := f.steps / 2
-			send(f.rows[id][:mid])
-			sent.Done()
-			<-killed
-			send(f.rows[id][mid:])
-			if err := cl.Bye(); err != nil {
-				panic(err)
-			}
-			for {
-				scores, err := cl.ReadScores()
-				got[id] += int64(len(scores))
-				if err != nil {
-					break
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-	elapsed = time.Since(start)
-	for _, n := range got {
-		received += n
-	}
-	return received, elapsed
-}
-
-func (f *fleetMixedBench) close() {
-	for _, cl := range f.clients {
-		if cl != nil {
-			cl.Bye()
-			cl.Close()
-		}
-	}
-	if f.rt != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		f.rt.Shutdown(ctx)
-		cancel()
-	}
-	for _, srv := range f.srvs {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-	}
-	if f.regDir != "" {
-		os.RemoveAll(f.regDir)
-	}
-}
-
 func runBenchSuite(jsonPath string, seed uint64) error {
 	// A small fitted model shared by the score-stream benchmarks: seeded
 	// initialisation scores at the same cost as a trained one.
@@ -524,78 +247,35 @@ func runBenchSuite(jsonPath string, seed uint64) error {
 		}
 	}
 
-	// The serving benchmark runs as its own phase: the live fleet server
-	// (per-group flusher tickers, 64 session goroutine trios) must not
-	// steal cycles from the single-threaded numeric cases above.
-	fleet, err := newFleetMixedBench(seed)
+	// The serving lanes run as their own phase, each on a fresh fleet from
+	// internal/fleetlane (the harness the root BenchmarkFleet* functions
+	// run): a live fleet server (per-group flusher tickers, 64 session
+	// goroutine trios) must not steal cycles from the single-threaded
+	// numeric cases above. The routed lane is rendered by -diff/-trend
+	// for the sharding trajectory but never gated (the relay hop's cost
+	// is host-sensitive); the bursty lane's throughput is informational
+	// (the op includes deliberate idle gaps) and its numbers that matter
+	// are the server-measured coalesce percentiles against the 5ms SLO.
+	for _, l := range []struct {
+		name string
+		lane fleetlane.Lane
+	}{
+		{"FleetServeMixed64", fleetlane.Mixed},
+		{"FleetServeRouted64", fleetlane.Routed},
+		{"FleetServeBursty64", fleetlane.Bursty},
+	} {
+		res, err := replayLane(l.name, l.lane, seed)
+		if err != nil {
+			return fmt.Errorf("%s: %w", l.name, err)
+		}
+		results = append(results, res)
+	}
+	foRes, err := failoverLane(seed)
 	if err != nil {
-		return err
-	}
-	fleetResults := measureSuite([]benchCase{
-		{"FleetServeMixed64", fleet.sessions * fleet.steps, fleet.run},
-	})
-	fleetResults[0].StageNsPerWindow = stageProfile(fleet.run)
-	results = append(results, fleetResults...)
-	fleet.close()
-
-	// The routed lane: the identical mixed fleet through a varade-router
-	// over two backends. Rendered by -diff/-trend for the sharding
-	// trajectory; never gated (the relay hop's cost is host-sensitive).
-	routed, err := newFleetRoutedBench(seed)
-	if err != nil {
-		return err
-	}
-	routedResults := measureSuite([]benchCase{
-		{"FleetServeRouted64", routed.sessions * routed.steps, routed.run},
-	})
-	results = append(results, routedResults...)
-	routed.close()
-
-	// The bursty-admission lane: throughput is informational (the op
-	// includes deliberate idle gaps); the numbers that matter are the
-	// server-measured coalesce-latency percentiles against the 5ms SLO.
-	bursty, err := newFleetBurstyBench(seed)
-	if err != nil {
-		return err
-	}
-	burstyResults := measureSuite([]benchCase{
-		{"FleetServeBursty64", bursty.sessions * bursty.steps, bursty.run},
-	})
-	bm := bursty.srv.Metrics()
-	burstyResults[0].P50CoalesceMs = bm.P50CoalesceMs
-	burstyResults[0].P99CoalesceMs = bm.P99CoalesceMs
-	results = append(results, burstyResults...)
-	bursty.close()
-
-	// The failover lane: the routed fleet again, but the backend serving
-	// session 0 is force-killed at the half-way barrier and every
-	// orphaned session rides the router's transparent hand-off to the
-	// survivor. One-shot — a backend only dies once per fleet — so the
-	// figures are a single survival sample rather than a min-of-rounds
-	// estimate: windows/s counts scores actually received across the
-	// kill, and the hand-off columns come from the router's own counters.
-	fo, err := newFleetFailoverBench(seed)
-	if err != nil {
-		return err
-	}
-	foScores, foElapsed := fo.runFailover()
-	foHandoffs, _, foP99 := fo.rt.HandoffStats()
-	foRes := BenchResult{
-		Name:         "FleetServeFailover64",
-		NsPerOp:      float64(foElapsed.Nanoseconds()),
-		Iterations:   1,
-		Rounds:       1,
-		Handoffs:     foHandoffs,
-		HandoffP99Ms: float64(foP99) / 1e6,
-	}
-	if foElapsed > 0 {
-		foRes.WindowsPerSec = float64(foScores) / foElapsed.Seconds()
+		return fmt.Errorf("%s: %w", foRes.Name, err)
 	}
 	results = append(results, foRes)
-	fo.close()
-	if foHandoffs < 1 {
-		return fmt.Errorf("failover lane recorded %d hand-offs, want >= 1 — the kill missed every session", foHandoffs)
-	}
+
 	// Which micro-kernel family produced these numbers: cross-runner
 	// comparisons are only meaningful on the same dispatch.
 	fmt.Printf("gemm kernel: %s, qgemm kernel: %s\n", tensor.GemmKernelName(), tensor.QGemmKernelName())
@@ -639,4 +319,55 @@ func runBenchSuite(jsonPath string, seed uint64) error {
 		fmt.Printf("\nwrote %s\n", jsonPath)
 	}
 	return nil
+}
+
+// replayLane times the lane's Replay op on a fresh fleet. The mixed lane
+// also gets a stage profile; the bursty lane records its coalesce
+// percentiles.
+func replayLane(name string, lane fleetlane.Lane, seed uint64) (BenchResult, error) {
+	f, err := fleetlane.New(lane, seed)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	defer f.Close()
+	var opErr error
+	op := func(iters int) {
+		for i := 0; i < iters && opErr == nil; i++ {
+			_, opErr = f.Replay()
+		}
+	}
+	res := measureSuite([]benchCase{{name, fleetlane.Sessions * fleetlane.Steps, op}})[0]
+	if lane == fleetlane.Mixed {
+		res.StageNsPerWindow = stageProfile(op)
+	}
+	if lane.Bursty {
+		m := f.Metrics()
+		res.P50CoalesceMs, res.P99CoalesceMs = m.P50CoalesceMs, m.P99CoalesceMs
+	}
+	return res, opErr
+}
+
+// failoverLane runs the one-shot failover op on a fresh routed fleet: a
+// backend only dies once per fleet, so the figures are a single survival
+// sample rather than a min-of-rounds estimate. windows/s counts scores
+// actually received across the kill; the hand-off columns come from the
+// router's own counters.
+func failoverLane(seed uint64) (BenchResult, error) {
+	res := BenchResult{Name: "FleetServeFailover64", Iterations: 1, Rounds: 1}
+	f, err := fleetlane.New(fleetlane.Routed, seed)
+	if err != nil {
+		return res, err
+	}
+	defer f.Close()
+	fo, err := f.Failover()
+	if err != nil {
+		return res, err
+	}
+	res.NsPerOp = float64(fo.Elapsed.Nanoseconds())
+	res.Handoffs = fo.Handoffs
+	res.HandoffP99Ms = float64(fo.HandoffP99) / 1e6
+	if fo.Elapsed > 0 {
+		res.WindowsPerSec = float64(fo.Windows) / fo.Elapsed.Seconds()
+	}
+	return res, nil
 }

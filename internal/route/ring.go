@@ -1,8 +1,11 @@
 package route
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 )
 
 // Consistent-hash placement. Each backend contributes ringVnodes
@@ -48,7 +51,7 @@ func buildRing(ids []string) []ringPoint {
 	points := make([]ringPoint, 0, len(ids)*ringVnodes)
 	for _, id := range ids {
 		for v := 0; v < ringVnodes; v++ {
-			points = append(points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", id, v)), id: id})
+			points = append(points, ringPoint{hash: hash64(id + "#" + strconv.Itoa(v)), id: id})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {
@@ -69,13 +72,49 @@ func ringLookup(points []ringPoint, key string, want int) []string {
 	h := hash64(key)
 	start := sort.Search(len(points), func(i int) bool { return points[i].hash >= h })
 	out := make([]string, 0, want)
-	seen := make(map[string]bool, want)
 	for i := 0; i < len(points) && len(out) < want; i++ {
-		p := points[(start+i)%len(points)]
-		if !seen[p.id] {
-			seen[p.id] = true
-			out = append(out, p.id)
+		if id := points[(start+i)%len(points)].id; !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// ringCacheMax bounds a router's memoised rings. Member sets are few
+// (per-precision and per-model pools across health changes), so when the
+// cache fills it is simply emptied.
+const ringCacheMax = 64
+
+// ringCache memoises buildRing per member set. A ring is read-only once
+// built, so concurrent placements share it.
+type ringCache struct {
+	mu    sync.Mutex
+	rings map[string][]ringPoint
+}
+
+// ring returns the circle for ids. The key is ids in the given order,
+// each length-prefixed so no two member sets share one; buildRing
+// ignores order, so an unsorted caller only costs a duplicate entry.
+func (c *ringCache) ring(ids []string) []ringPoint {
+	var kb strings.Builder
+	for _, id := range ids {
+		kb.WriteString(strconv.Itoa(len(id)))
+		kb.WriteByte(':')
+		kb.WriteString(id)
+	}
+	key := kb.String()
+	c.mu.Lock()
+	points, ok := c.rings[key]
+	c.mu.Unlock()
+	if ok {
+		return points
+	}
+	points = buildRing(ids)
+	c.mu.Lock()
+	if c.rings == nil || len(c.rings) >= ringCacheMax {
+		c.rings = make(map[string][]ringPoint)
+	}
+	c.rings[key] = points
+	c.mu.Unlock()
+	return points
 }

@@ -2,6 +2,8 @@ package route
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -151,4 +153,85 @@ func TestTableTTLAndDrain(t *testing.T) {
 	if got := len(tab.views(true)); got != 0 {
 		t.Fatalf("draining backend still placeable (%d)", got)
 	}
+}
+
+// TestPlaceRingCacheMatchesUncached drives the table through register,
+// dial failure, re-announce, drain and TTL expiry: at every step the
+// memoised placement must equal one from a cold cache, and a member set
+// seen before must place as it did then. Concurrent placements share
+// the cache (run under -race).
+func TestPlaceRingCacheMatchesUncached(t *testing.T) {
+	rt := NewRouter(Config{DefaultModel: "varade", TTL: time.Minute})
+	now := time.Unix(1000, 0)
+	rt.tab.now = func() time.Time { return now }
+	announce := func(ann Announcement) {
+		ann.Addr = "a:" + ann.ID
+		ann.Models = []ModelAd{{Name: "varade"}}
+		rt.Register(ann)
+	}
+	placements := func() []string {
+		var out []string
+		for i := 0; i < 30; i++ {
+			for _, prec := range []string{"float64", "float32", "int8"} {
+				var ids []string
+				for _, v := range rt.place("varade", prec, fmt.Sprintf("varade@v%d:%s", i, prec)) {
+					ids = append(ids, v.b.id)
+				}
+				out = append(out, strings.Join(ids, ","))
+			}
+		}
+		return out
+	}
+	check := func(step string) string {
+		warm := strings.Join(placements(), " ")
+		saved := rt.rings.rings
+		rt.rings.rings = nil
+		cold := strings.Join(placements(), " ")
+		rt.rings.rings = saved
+		if warm != cold {
+			t.Fatalf("%s: cached placement %s, uncached %s", step, warm, cold)
+		}
+		return warm
+	}
+
+	announce(Announcement{ID: "b1"})
+	announce(Announcement{ID: "b2"})
+	announce(Announcement{ID: "b3", Precisions: []string{"float64", "float32"}})
+	full := check("register")
+	rt.tab.fail("b2")
+	check("dial-fail")
+	announce(Announcement{ID: "b2"})
+	if got := check("re-announce"); got != full {
+		t.Fatalf("re-announced set placed %s, first time %s", got, full)
+	}
+	announce(Announcement{ID: "b3", Draining: true})
+	check("drain")
+	announce(Announcement{ID: "b3", Precisions: []string{"float64", "float32"}})
+	now = now.Add(50 * time.Second)
+	announce(Announcement{ID: "b2"})
+	announce(Announcement{ID: "b3", Precisions: []string{"float64", "float32"}})
+	now = now.Add(20 * time.Second) // b1 last announced 70s ago: expired
+	if got := len(rt.tab.views(true)); got != 2 {
+		t.Fatalf("healthy = %d after b1's TTL, want 2", got)
+	}
+	check("ttl-expiry")
+	announce(Announcement{ID: "b1"})
+	if got := check("re-announce after expiry"); got != full {
+		t.Fatalf("re-announced set placed %s, first time %s", got, full)
+	}
+	if len(rt.rings.rings) == 0 {
+		t.Fatal("placement never filled the ring cache")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := strings.Join(placements(), " "); got != full {
+				t.Errorf("concurrent placement %s, want %s", got, full)
+			}
+		}()
+	}
+	wg.Wait()
 }

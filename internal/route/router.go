@@ -90,6 +90,9 @@ type Router struct {
 	// on, for /models.
 	placements sync.Map // string -> string
 
+	// rings memoises the placement ring per member set.
+	rings ringCache
+
 	// admitQ is the bounded admission queue: a slot is held while a
 	// session waits for a healthy backend (initial placement or
 	// hand-off re-placement).
@@ -342,7 +345,7 @@ func (rt *Router) place(model, prec, key string) []backendView {
 		ids[i] = v.b.id
 		byID[v.b.id] = v
 	}
-	order := ringLookup(buildRing(ids), key, len(pool))
+	order := ringLookup(rt.rings.ring(ids), key, len(pool))
 	out := make([]backendView, 0, len(healthy))
 	for _, id := range order {
 		out = append(out, byID[id])

@@ -252,7 +252,9 @@ func (s *session) finish() {
 func (s *session) writer() {
 	defer s.conn.Close()
 	dead := false
-	batch := make([]stream.Score, 0, s.maxOut)
+	// Start small: most writes carry a few scores, and append grows the
+	// batch toward maxOut only for sessions that fill it.
+	batch := make([]stream.Score, 0, min(16, s.maxOut))
 	for sc := range s.out {
 		batch = append(batch[:0], sc)
 	gather:
